@@ -2,7 +2,7 @@
 # build + vet + full tests, then a short-mode race check of the
 # parallel sweep worker pool (including cancellation and shared-
 # registry metrics aggregation) so it stays race-clean.
-.PHONY: verify build vet test race lint bench bench-json bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke bench-qosd comp-smoke sizing-smoke
+.PHONY: verify build vet test race lint bench bench-json bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke bench-qosd comp-smoke sizing-smoke perfbench-check
 
 verify: build vet test race
 
@@ -186,3 +186,10 @@ sizing-smoke:
 # code by tests; this target runs exactly those.
 docs-check:
 	go test -run 'TestReadmeSchemeCatalogue|TestReadmeCLITable|TestExperimentsOracleCatalogue|TestExperimentsSizingTable' .
+
+# The benchmark harness is its own Go module (perfbench/go.mod), so the
+# root `go build ./...` and `go test ./...` never compile it. This vets
+# it and runs its short tests against the current tree, so an API change
+# that breaks the benchmark fails here rather than in a benchmark run.
+perfbench-check:
+	cd perfbench && go vet ./... && go test -short ./...

@@ -9,6 +9,7 @@ import (
 	"bufqos/internal/experiment"
 	"bufqos/internal/packet"
 	"bufqos/internal/sched"
+	"bufqos/internal/scheme"
 	"bufqos/internal/units"
 )
 
@@ -17,14 +18,13 @@ import (
 // and adaptive-sharing alternatives, and the RPQ middle ground. Each
 // reports its comparison through b.ReportMetric.
 
-// ablationRun goes through the deprecated Config shim on purpose: the
-// ablations double as a compatibility check for pre-Options callers.
-func ablationRun(b *testing.B, cfg experiment.Config) experiment.Result {
+// ablationRun runs o on the ablations' common short horizon and seed.
+func ablationRun(b *testing.B, o experiment.Options) experiment.Result {
 	b.Helper()
-	cfg.Duration = 4
-	cfg.Warmup = 0.5
-	cfg.Seed = 11
-	res, err := experiment.RunConfig(cfg)
+	o.Duration = 4
+	o.Warmup = 0.5
+	o.Seed = 11
+	res, err := experiment.Run(context.Background(), &o)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,10 +36,10 @@ func ablationRun(b *testing.B, cfg experiment.Config) experiment.Result {
 func BenchmarkAblationHeadroom(b *testing.B) {
 	var lossNoH, lossH float64
 	for i := 0; i < b.N; i++ {
-		base := experiment.Config{
-			Flows:  experiment.Table1Flows(),
-			Scheme: experiment.FIFOSharing,
-			Buffer: units.KiloBytes(200),
+		base := experiment.Options{
+			Flows:      experiment.Table1Flows(),
+			SchemeSpec: "fifo+sharing",
+			Buffer:     units.KiloBytes(200),
 		}
 		noH := base
 		noH.Headroom = 0
@@ -109,13 +109,13 @@ func BenchmarkAblationPacketSize(b *testing.B) {
 		}{
 			{100, &loss100}, {500, &loss500}, {1500, &loss1500},
 		} {
-			cfg := experiment.Config{
+			o := experiment.Options{
 				Flows:      experiment.Table1Flows(),
-				Scheme:     experiment.FIFOThreshold,
+				SchemeSpec: "fifo+threshold",
 				Buffer:     units.KiloBytes(500),
 				PacketSize: c.size,
 			}
-			*c.out = ablationRun(b, cfg).ConformantLoss
+			*c.out = ablationRun(b, o).ConformantLoss
 		}
 	}
 	b.ReportMetric(loss100, "loss@100B")
@@ -128,17 +128,17 @@ func BenchmarkAblationPacketSize(b *testing.B) {
 func BenchmarkAblationDynamicThreshold(b *testing.B) {
 	var dtLoss, shLoss, dtUtil, shUtil float64
 	for i := 0; i < b.N; i++ {
-		dt := ablationRun(b, experiment.Config{
-			Flows:  experiment.Table1Flows(),
-			Scheme: experiment.FIFODynamicThreshold,
-			Buffer: units.MegaBytes(1),
+		dt := ablationRun(b, experiment.Options{
+			Flows:      experiment.Table1Flows(),
+			SchemeSpec: "fifo+dynthresh",
+			Buffer:     units.MegaBytes(1),
 		})
 		dtLoss, dtUtil = dt.ConformantLoss, dt.Utilization
-		sh := ablationRun(b, experiment.Config{
-			Flows:    experiment.Table1Flows(),
-			Scheme:   experiment.FIFOSharing,
-			Buffer:   units.MegaBytes(1),
-			Headroom: units.KiloBytes(250),
+		sh := ablationRun(b, experiment.Options{
+			Flows:      experiment.Table1Flows(),
+			SchemeSpec: "fifo+sharing",
+			Buffer:     units.MegaBytes(1),
+			Headroom:   units.KiloBytes(250),
 		})
 		shLoss, shUtil = sh.ConformantLoss, sh.Utilization
 	}
@@ -154,17 +154,17 @@ func BenchmarkAblationAdaptiveSharing(b *testing.B) {
 	var aggPlain, aggAdaptive float64
 	for i := 0; i < b.N; i++ {
 		for _, c := range []struct {
-			scheme experiment.Scheme
-			out    *float64
+			spec string
+			out  *float64
 		}{
-			{experiment.FIFOSharing, &aggPlain},
-			{experiment.FIFOAdaptiveSharing, &aggAdaptive},
+			{"fifo+sharing", &aggPlain},
+			{"fifo+adaptive", &aggAdaptive},
 		} {
-			res := ablationRun(b, experiment.Config{
-				Flows:    experiment.Table1Flows(),
-				Scheme:   c.scheme,
-				Buffer:   units.MegaBytes(3),
-				Headroom: units.KiloBytes(500),
+			res := ablationRun(b, experiment.Options{
+				Flows:      experiment.Table1Flows(),
+				SchemeSpec: c.spec,
+				Buffer:     units.MegaBytes(3),
+				Headroom:   units.KiloBytes(500),
 			})
 			*c.out = res.FlowThroughput[6].Mbits() +
 				res.FlowThroughput[7].Mbits() + res.FlowThroughput[8].Mbits()
@@ -180,19 +180,19 @@ func BenchmarkAblationRPQ(b *testing.B) {
 	var fifoDelay, rpqDelay float64
 	for i := 0; i < b.N; i++ {
 		for _, c := range []struct {
-			scheme experiment.Scheme
-			out    *float64
+			spec string
+			out  *float64
 		}{
-			{experiment.FIFOThreshold, &fifoDelay},
-			{experiment.RPQThreshold, &rpqDelay},
+			{"fifo+threshold", &fifoDelay},
+			{"rpq+threshold", &rpqDelay},
 		} {
-			cfg := experiment.Config{
+			o := experiment.Options{
 				Flows:       experiment.Table1Flows(),
-				Scheme:      c.scheme,
+				SchemeSpec:  c.spec,
 				Buffer:      units.MegaBytes(2),
 				TrackDelays: true,
 			}
-			res := ablationRun(b, cfg)
+			res := ablationRun(b, o)
 			// Relative worst delay of a tight-class flow (flow 3,
 			// class 1) against a loose-class flow (flow 6, class 3):
 			// below 1 means the scheduler is honoring classes.
@@ -208,23 +208,18 @@ func BenchmarkAblationRPQ(b *testing.B) {
 // and reports utilization and conformant loss — the scheduling-vs-
 // buffer-management design space in one table.
 func BenchmarkAblationAllSchedulers(b *testing.B) {
-	schemes := []experiment.Scheme{
-		experiment.FIFOThreshold,
-		experiment.WFQThreshold,
-		experiment.RPQThreshold,
-		experiment.DRRThreshold,
-		experiment.EDFThreshold,
-		experiment.VCThreshold,
+	specs := []string{
+		"fifo+threshold", "wfq+threshold", "rpq+threshold",
+		"drr+threshold", "edf+threshold", "vc+threshold",
 	}
-	for _, s := range schemes {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
+	for _, spec := range specs {
+		b.Run(scheme.MustParse(spec).String(), func(b *testing.B) {
 			var util, loss float64
 			for i := 0; i < b.N; i++ {
-				res := ablationRun(b, experiment.Config{
-					Flows:  experiment.Table1Flows(),
-					Scheme: s,
-					Buffer: units.MegaBytes(1),
+				res := ablationRun(b, experiment.Options{
+					Flows:      experiment.Table1Flows(),
+					SchemeSpec: spec,
+					Buffer:     units.MegaBytes(1),
 				})
 				util, loss = res.Utilization, res.ConformantLoss
 			}

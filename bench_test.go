@@ -347,7 +347,7 @@ func BenchmarkEndToEndSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := experiment.Run(context.Background(), experiment.NewOptions(
 			experiment.WithFlows(experiment.Table1Flows()),
-			experiment.WithScheme(experiment.FIFOThreshold),
+			experiment.WithSchemeSpec("fifo+threshold"),
 			experiment.WithBuffer(units.MegaBytes(1)),
 			experiment.WithDuration(2),
 			experiment.WithWarmup(0.2),
@@ -369,7 +369,7 @@ func BenchmarkEndToEndSimulationMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := experiment.Run(context.Background(), experiment.NewOptions(
 			experiment.WithFlows(experiment.Table1Flows()),
-			experiment.WithScheme(experiment.FIFOThreshold),
+			experiment.WithSchemeSpec("fifo+threshold"),
 			experiment.WithBuffer(units.MegaBytes(1)),
 			experiment.WithDuration(2),
 			experiment.WithWarmup(0.2),

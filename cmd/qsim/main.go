@@ -258,9 +258,9 @@ func runWorkloadSweep(ctx context.Context, path, schemeList string, opts *experi
 	if schemeList != "" {
 		for _, name := range strings.Split(schemeList, ",") {
 			spec := strings.TrimSpace(name)
-			if _, err := experiment.ParseScheme(spec); err != nil {
+			if _, err := scheme.Parse(spec); err != nil {
 				fatalf("%v\navailable specs: %s\n(see -list-schemes for parameters)",
-					err, strings.Join(experiment.SchemeSpecs(), ", "))
+					err, strings.Join(scheme.Specs(), ", "))
 			}
 			specs = append(specs, spec)
 		}

@@ -40,9 +40,8 @@
 // partial figure. Schemes are selected by registry spec strings —
 // experiment.WithSchemeSpec("wfq+sharing"),
 // WithSchemeSpec("hybrid:3+sharing"), or a parameterized variant like
-// "fifo+red?min=0.2,max=0.8". (The deprecated Scheme enum and the
-// pre-Options Config/RunOpts shims in internal/experiment/legacy.go
-// still compile but should not appear in new code.)
+// "fifo+red?min=0.2,max=0.8". An Options without a spec runs
+// "fifo+none".
 //
 // Executables: cmd/qsim (regenerate every figure), cmd/qtrace
 // (per-packet event traces), cmd/qcheck (single-link invariant

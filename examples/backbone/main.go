@@ -1,88 +1,78 @@
 // Backbone: the paper's scheme deployed at every hop of a multi-node
-// path. A premium customer's conformant flow crosses three routers;
-// each router also carries its own local aggressive traffic. With
-// threshold buffer management at every output port (O(1) per packet,
-// per the paper's scalability argument), the flow's end-to-end rate
-// guarantee survives all three contention points; with plain FIFO it
-// collapses at the first.
+// path. A premium customer's conformant flow crosses three hops; each
+// hop also carries its own local aggressive traffic. With threshold
+// buffer management at every output port (O(1) per packet, per the
+// paper's scalability argument), the flow's end-to-end rate guarantee
+// survives all three contention points; with plain FIFO it collapses
+// at the first.
+//
+// The scenario is a topology file (backbone.json, embedded below) run
+// on the multi-hop engine twice: once with every link on "fifo+none",
+// once on "fifo+threshold".
 //
 //	go run ./examples/backbone
 package main
 
 import (
+	"bytes"
+	"context"
+	_ "embed"
 	"fmt"
 	"os"
 	"text/tabwriter"
 
-	"bufqos/internal/buffer"
-	"bufqos/internal/core"
-	"bufqos/internal/network"
-	"bufqos/internal/sched"
-	"bufqos/internal/sim"
-	"bufqos/internal/source"
-	"bufqos/internal/stats"
-	"bufqos/internal/units"
+	"bufqos/internal/topology"
 )
 
-func main() {
-	const hops = 3
-	linkRate := units.MbitsPerSecond(48)
-	rho := units.MbitsPerSecond(8) // the customer's SLA
-	bufSize := units.KiloBytes(500)
-	prop := 0.002 // 2 ms per hop
+//go:embed backbone.json
+var backboneJSON []byte
 
-	fmt.Printf("3-hop backbone, %v links, %v buffers, 2 ms propagation per hop\n", linkRate, bufSize)
-	fmt.Printf("flow 0: conformant, SLA %v end-to-end; flows 1..%d: one saturating aggressor per hop\n\n", rho, hops)
-
-	run := func(managed bool) (units.Rate, float64, int64) {
-		s := sim.New()
-		routers := make([]*network.Router, hops)
-		for h := 0; h < hops; h++ {
-			var mgr buffer.Manager
-			if managed {
-				th := core.PeakRateThreshold(rho, linkRate, bufSize)
-				rest := bufSize - th - 500
-				// Flow IDs: 0 = customer, 1+h = hop-h aggressor.
-				thresholds := make([]units.Bytes, 1+hops)
-				thresholds[0] = th + 500
-				thresholds[1+h] = rest
-				mgr = buffer.NewFixedThreshold(bufSize, thresholds)
-			} else {
-				mgr = buffer.NewTailDrop(bufSize, 1+hops)
-			}
-			routers[h] = network.NewRouter(s, fmt.Sprintf("hop%d", h), linkRate,
-				sched.NewFIFO(), mgr, stats.NewCollector(1+hops, 1), prop)
-		}
-		path := network.NewPath(s, routers, 1)
-
-		victim := source.NewCBR(s, 0, 500, rho, path.Head())
-		victim.Start()
-		for h := 0; h < hops; h++ {
-			agg := source.NewSaturating(s, 1+h, 500, linkRate, routers[h])
-			agg.Start()
-		}
-		const dur = 10.0
-		s.RunUntil(dur)
-
-		var drops int64
-		for _, r := range routers {
-			drops += r.Collector().Flow(0).Dropped.Total().Packets
-		}
-		return path.Delivery.Throughput(0), path.Delivery.Delay(0).Max(), drops
+// load parses the embedded scenario with every link running spec.
+func load(spec string) (*topology.Topology, error) {
+	t, err := topology.Parse(bytes.NewReader(backboneJSON))
+	if err != nil {
+		return nil, err
 	}
+	for i := range t.Links {
+		t.Links[i].Spec = spec
+	}
+	return t, t.Validate()
+}
 
+func main() {
+	const duration = 10.0
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "per-hop policy\tend-to-end rate\tSLA attainment\tworst delay\tdrops")
-	for _, c := range []struct {
-		name    string
-		managed bool
-	}{
-		{"tail-drop FIFO", false},
-		{"FIFO + thresholds", true},
-	} {
-		rate, worst, drops := run(c.managed)
-		fmt.Fprintf(tw, "%s\t%v\t%.1f%%\t%.1f ms\t%d\n",
-			c.name, rate, 100*rate.BitsPerSecond()/rho.BitsPerSecond(), worst*1e3, drops)
+	for i, spec := range []string{"fifo+none", "fifo+threshold"} {
+		t, err := load(spec)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "backbone: %v\n", err)
+			os.Exit(1)
+		}
+		if i == 0 {
+			l, c := t.Links[0], t.Flows[0]
+			fmt.Printf("%d-hop backbone, %v links, %v buffers, %g ms propagation per hop\n",
+				len(t.Links), l.Rate, l.Buffer, l.PropDelay*1e3)
+			fmt.Printf("%s: conformant, SLA %v end-to-end; one unshaped aggressor per hop at the link rate\n\n",
+				c.Name, c.Spec.TokenRate)
+			fmt.Fprint(tw, "per-hop scheme\tend-to-end rate\tSLA attainment\tworst delay")
+			for _, l := range t.Links {
+				fmt.Fprintf(tw, "\tdrops %s", l.Name)
+			}
+			fmt.Fprintln(tw)
+		}
+		res, err := topology.Run(context.Background(), t, topology.Options{Duration: duration, Seed: 1})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "backbone: %v\n", err)
+			os.Exit(1)
+		}
+		customer := res.Flows[0]
+		sla := t.Flows[0].Spec.TokenRate
+		fmt.Fprintf(tw, "%s\t%v\t%.1f%%\t%.1f ms", spec, customer.Throughput,
+			100*customer.Throughput.BitsPerSecond()/sla.BitsPerSecond(), customer.MaxDelay*1e3)
+		for _, l := range res.Links {
+			fmt.Fprintf(tw, "\t%d", l.Flows[0].Dropped.Packets)
+		}
+		fmt.Fprintln(tw)
 	}
 	tw.Flush()
 

@@ -26,6 +26,7 @@ import (
 	"bufqos/internal/core"
 	"bufqos/internal/experiment"
 	"bufqos/internal/packet"
+	"bufqos/internal/scheme"
 	"bufqos/internal/units"
 )
 
@@ -94,10 +95,10 @@ func main() {
 		core.RequiredBufferWFQ(specs), len(flows))
 
 	// Run both systems at the hybrid's minimum buffer.
-	for _, scheme := range []experiment.Scheme{experiment.HybridSharing, experiment.WFQSharing} {
+	for _, spec := range []string{"hybrid+sharing", "wfq+sharing"} {
 		res, err := experiment.Run(context.Background(), experiment.NewOptions(
 			experiment.WithFlows(flows),
-			experiment.WithScheme(scheme),
+			experiment.WithSchemeSpec(spec),
 			experiment.WithBuffer(hybridTotal),
 			experiment.WithHeadroom(hybridTotal/4),
 			experiment.WithQueues(queueOf),
@@ -107,7 +108,7 @@ func main() {
 		))
 		check(err)
 		fmt.Printf("%-16s utilization %.1f%%  conformant loss %.3f%%\n",
-			scheme.String()+":", 100*res.Utilization, 100*res.ConformantLoss)
+			scheme.MustParse(spec).String()+":", 100*res.Utilization, 100*res.ConformantLoss)
 	}
 	fmt.Println("\nThe 3-queue hybrid needs a sorted list of 3 entries — not", len(flows), "—")
 	fmt.Println("yet tracks per-flow WFQ on both utilization and protection.")

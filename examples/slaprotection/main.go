@@ -17,17 +17,13 @@ import (
 	"text/tabwriter"
 
 	"bufqos/internal/experiment"
+	"bufqos/internal/scheme"
 	"bufqos/internal/units"
 )
 
 func main() {
 	flows := experiment.Table1Flows()
-	schemes := []experiment.Scheme{
-		experiment.FIFONoBM,
-		experiment.WFQNoBM,
-		experiment.FIFOThreshold,
-		experiment.WFQThreshold,
-	}
+	schemes := []string{"fifo+none", "wfq+none", "fifo+threshold", "wfq+threshold"}
 
 	fmt.Println("SLA attainment on a 48 Mb/s link, 1 MB buffer, Table 1 workload")
 	fmt.Println("(delivered rate / reserved rate for the six conformant customers; 10 s run)")
@@ -36,7 +32,7 @@ func main() {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "customer\treserved")
 	for _, s := range schemes {
-		fmt.Fprintf(tw, "\t%s", s)
+		fmt.Fprintf(tw, "\t%s", scheme.MustParse(s))
 	}
 	fmt.Fprintln(tw)
 
@@ -44,7 +40,7 @@ func main() {
 	for i, s := range schemes {
 		res, err := experiment.Run(context.Background(), experiment.NewOptions(
 			experiment.WithFlows(flows),
-			experiment.WithScheme(s),
+			experiment.WithSchemeSpec(s),
 			experiment.WithBuffer(units.MegaBytes(1)),
 			experiment.WithDuration(10),
 			experiment.WithWarmup(1),
@@ -72,7 +68,7 @@ func main() {
 	tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scheme\tlink utilization\tconformant loss")
 	for i, s := range schemes {
-		fmt.Fprintf(tw, "%s\t%.1f%%\t%.2f%%\n", s, 100*results[i].Utilization, 100*results[i].ConformantLoss)
+		fmt.Fprintf(tw, "%s\t%.1f%%\t%.2f%%\n", scheme.MustParse(s), 100*results[i].Utilization, 100*results[i].ConformantLoss)
 	}
 	tw.Flush()
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"bufqos/internal/packet"
 	"bufqos/internal/units"
@@ -92,18 +93,24 @@ func (s AdmissionSnapshot) Utilization() float64 {
 	return s.SumRho.BitsPerSecond() / s.Rate.BitsPerSecond()
 }
 
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // checkRegion evaluates the paper's schedulability regions for a link
 // (d, rate, buffer) whose admitted aggregate is (sumRho bits/s,
 // sumSigma) against one additional spec. This is the single shared
-// implementation behind both admitters.
+// implementation behind both admitters. Non-finite inputs are refused
+// outright: a NaN makes every comparison below false, which would
+// admit anything.
 func checkRegion(d Discipline, rate units.Rate, buffer units.Bytes,
 	sumRho float64, sumSigma units.Bytes, spec packet.FlowSpec) RejectReason {
 	if err := spec.Validate(); err != nil {
 		return BandwidthLimited
 	}
 	rho := sumRho + spec.TokenRate.BitsPerSecond()
-	sigma := float64(sumSigma + spec.BucketSize)
-	if rho > rate.BitsPerSecond() {
+	// Summed in float64: an int64 sum of a near-maximal bucket could
+	// wrap negative and pass the buffer bound.
+	sigma := float64(sumSigma) + float64(spec.BucketSize)
+	if !finite(rho) || !finite(rate.BitsPerSecond()) || rho > rate.BitsPerSecond() {
 		return BandwidthLimited
 	}
 	switch d {

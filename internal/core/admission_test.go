@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -161,5 +162,63 @@ func TestAdmissionConstructorValidation(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestNonFiniteSpecCannotDisableAdmission is the regression test for
+// the NaN hole: a NaN token rate used to pass Validate and the region
+// checks, after which the link's Σρ was NaN and every later comparison
+// admitted anything.
+func TestNonFiniteSpecCannotDisableAdmission(t *testing.T) {
+	probe := packet.FlowSpec{PeakRate: units.Gbps, TokenRate: units.Gbps, BucketSize: units.MegaBytes(100)}
+	poison := []packet.FlowSpec{
+		{TokenRate: units.Rate(math.NaN()), BucketSize: units.KiloBytes(10)},
+		{TokenRate: units.Rate(math.Inf(1)), BucketSize: units.KiloBytes(10)},
+		{PeakRate: units.Rate(math.NaN()), TokenRate: units.Mbps, BucketSize: units.KiloBytes(10)},
+	}
+	for _, d := range []Discipline{DisciplineFIFO, DisciplineWFQ} {
+		links := map[string]Admitter{
+			"serial":  NewSerialAdmitter(d, units.MbitsPerSecond(48), units.MegaBytes(1)),
+			"sharded": NewShardedAdmitter([]LinkConfig{{Discipline: d, Rate: units.MbitsPerSecond(48), Buffer: units.MegaBytes(1)}}).Link(0),
+		}
+		for name, a := range links {
+			for _, p := range poison {
+				if got := a.Admit(p); got == Accepted {
+					t.Errorf("%v %s: admitted %+v", d, name, p)
+				}
+			}
+			if got := a.Admit(probe); got != BandwidthLimited {
+				t.Errorf("%v %s: 1 Gb/s probe on a 48 Mb/s link: %v, want bandwidth-limited", d, name, got)
+			}
+		}
+	}
+
+	// Second line of defence: the region check itself refuses
+	// non-finite aggregates and link rates, whatever Validate says.
+	ok := spec(10, 1)
+	nan := math.NaN()
+	if r := checkRegion(DisciplineFIFO, units.MbitsPerSecond(48), units.MegaBytes(1), nan, 0, ok); r == Accepted {
+		t.Error("NaN Σρ accepted")
+	}
+	if r := checkRegion(DisciplineWFQ, units.Rate(nan), units.MegaBytes(1), 0, 0, ok); r == Accepted {
+		t.Error("NaN link rate accepted")
+	}
+	if r := checkRegion(DisciplineWFQ, units.Rate(math.Inf(1)), units.MegaBytes(1), 0, 0, ok); r == Accepted {
+		t.Error("infinite link rate accepted")
+	}
+}
+
+// TestHugeBucketCannotWrapBufferSum: Σσ is summed in float64, so a
+// bucket near the int64 limit cannot wrap the buffer check negative.
+func TestHugeBucketCannotWrapBufferSum(t *testing.T) {
+	for _, d := range []Discipline{DisciplineFIFO, DisciplineWFQ} {
+		a := NewSerialAdmitter(d, units.MbitsPerSecond(48), units.MegaBytes(1))
+		if got := a.Admit(spec(100, 1)); got != Accepted {
+			t.Fatalf("%v: first flow %v", d, got)
+		}
+		huge := packet.FlowSpec{TokenRate: units.Mbps, BucketSize: math.MaxInt64 - 1000}
+		if got := a.Admit(huge); got != BufferLimited {
+			t.Errorf("%v: %d-byte bucket: %v, want buffer-limited", d, int64(huge.BucketSize), got)
+		}
 	}
 }

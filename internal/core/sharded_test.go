@@ -275,14 +275,3 @@ func TestShardedRouteRace(t *testing.T) {
 		}
 	}
 }
-
-func TestLegacyAdmissionControllerShim(t *testing.T) {
-	// The deprecated alias and constructor must keep old callers
-	// working against the renamed implementation.
-	var ctl *AdmissionController = NewAdmissionController(
-		DisciplineWFQ, units.MbitsPerSecond(48), units.KiloBytes(100))
-	var _ Admitter = ctl
-	if ctl.Admit(spec(50, 2)) != Accepted {
-		t.Error("legacy shim admit failed")
-	}
-}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -130,14 +131,14 @@ func TestParsedWorkloadRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunConfig(Config{
-		Flows:    w.Flows,
-		Scheme:   FIFOThreshold,
-		LinkRate: w.LinkRate,
-		Buffer:   units.KiloBytes(500),
-		Duration: 2,
-		Warmup:   0.2,
-		Seed:     1,
+	res, err := Run(context.Background(), &Options{
+		Flows:      w.Flows,
+		SchemeSpec: "fifo+threshold",
+		LinkRate:   w.LinkRate,
+		Buffer:     units.KiloBytes(500),
+		Duration:   2,
+		Warmup:     0.2,
+		Seed:       1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func TestRunMetricsPopulated(t *testing.T) {
 	reg := metrics.NewRegistry()
 	o := NewOptions(
 		WithFlows(Table1Flows()),
-		WithScheme(FIFOThreshold),
+		WithSchemeSpec("fifo+threshold"),
 		WithBuffer(units.MegaBytes(1)),
 		WithDuration(2),
 		WithWarmup(0.2),

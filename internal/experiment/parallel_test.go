@@ -217,10 +217,9 @@ func TestSweepCancellationPartialResults(t *testing.T) {
 	}
 }
 
-// TestOptionsDefaults pins the defaults contract of the redesigned API:
-// the zero Options reproduces the paper's setup, WithWarmup(0) and
-// WithSeed(0) are honored as explicit zeros, and the deprecated
-// Config/RunOpts shims convert faithfully.
+// TestOptionsDefaults pins the defaults contract of the Options API:
+// the zero Options reproduces the paper's setup, and WithWarmup(0) and
+// WithSeed(0) are honored as explicit zeros.
 func TestOptionsDefaults(t *testing.T) {
 	o := NewOptions()
 	o.defaults()
@@ -248,43 +247,25 @@ func TestOptionsDefaults(t *testing.T) {
 	if z.Seed != 0 {
 		t.Errorf("WithSeed(0) overwritten to %v", z.Seed)
 	}
-
-	c := Config{Duration: 10}.Options()
-	c.defaults()
-	if c.Warmup != 1 {
-		t.Errorf("unset shim warmup defaulted to %v, want Duration/10 = 1", c.Warmup)
-	}
-	c = Config{Duration: 10, WarmupSet: true}.Options()
-	c.defaults()
-	if c.Warmup != 0 {
-		t.Errorf("shim explicit zero warmup overwritten to %v", c.Warmup)
-	}
-	if c.Seed != 0 {
-		t.Errorf("shim zero seed overwritten to %v (legacy Config treats 0 literally)", c.Seed)
-	}
-
-	r := RunOpts{BaseSeed: 9, Workers: 3, WarmupSet: true}.Options()
-	r.defaults()
-	if r.Seed != 9 || r.Workers != 3 || r.Warmup != 0 {
-		t.Errorf("RunOpts shim lost fields: seed=%v workers=%v warmup=%v", r.Seed, r.Workers, r.Warmup)
-	}
 }
 
 // TestConfigExplicitZeroWarmup is the regression test for the defaults
 // bug: a deliberate zero warmup used to be silently replaced with
-// Duration/10. It runs end to end through the deprecated shim.
+// Duration/10. It runs end to end.
 func TestConfigExplicitZeroWarmup(t *testing.T) {
 	// Measuring from t=0 must count strictly more offered bytes than
 	// discarding a warmup prefix.
 	mk := func(warmupSet bool) Result {
-		res, err := RunConfig(Config{
-			Flows:     Table1Flows(),
-			Scheme:    FIFOThreshold,
-			Buffer:    units.MegaBytes(1),
-			Duration:  2,
-			WarmupSet: warmupSet,
-			Seed:      1,
-		})
+		o := NewOptions(
+			WithFlows(Table1Flows()),
+			WithSchemeSpec("fifo+threshold"),
+			WithBuffer(units.MegaBytes(1)),
+			WithDuration(2),
+		)
+		if warmupSet {
+			WithWarmup(0)(o)
+		}
+		res, err := Run(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}

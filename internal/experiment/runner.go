@@ -86,7 +86,7 @@ func Run(ctx context.Context, o *Options) (Result, error) {
 		// Histogram ceiling: a full buffer draining at the link rate.
 		col.EnableDelays(2 * float64(cfg.Buffer) * 8 / cfg.LinkRate.BitsPerSecond())
 	}
-	sc, err := cfg.resolveScheme()
+	sc, err := scheme.Parse(cfg.SchemeSpec)
 	if err != nil {
 		return Result{}, err
 	}
@@ -199,22 +199,4 @@ func (o *Options) schemeConfig(s *sim.Simulator) scheme.Config {
 		Now:        s.Now,
 		Seed:       o.Seed,
 	}
-}
-
-// resolveScheme returns the run's parsed scheme: SchemeSpec when set
-// (the registry path), otherwise the deprecated Scheme enum mapped onto
-// its registry entry, with DynAlpha carried into the dynthresh α
-// parameter.
-func (o *Options) resolveScheme() (*scheme.Scheme, error) {
-	if o.SchemeSpec != "" {
-		return scheme.Parse(o.SchemeSpec)
-	}
-	spec, err := o.Scheme.spec()
-	if err != nil {
-		return nil, err
-	}
-	if o.Scheme == FIFODynamicThreshold && o.DynAlpha != 0 && o.DynAlpha != 1 {
-		spec = fmt.Sprintf("%s?alpha=%g", spec, o.DynAlpha)
-	}
-	return scheme.Parse(spec)
 }

@@ -8,39 +8,10 @@ import (
 	"bufqos/internal/units"
 )
 
-// ParseScheme resolves a scheme name through the registry. It accepts
-// both the spec grammar ("fifo+threshold", "hybrid:3+sharing",
-// "fifo+red?min=0.2") and the legacy display labels that result tables
-// print ("FIFO+thresholds", "WFQ", "FIFO+RED").
-func ParseScheme(name string) (*scheme.Scheme, error) {
-	return scheme.Parse(name)
-}
-
-// SchemeSpecs returns the canonical spec of every registered
-// scheduler×manager combination — the data behind -list-schemes.
-func SchemeSpecs() []string { return scheme.Specs() }
-
 // specLabel returns the registry display label of a spec; it panics on
 // an invalid spec, so it is reserved for compile-time-constant specs
 // (the figure definitions).
 func specLabel(spec string) string { return scheme.MustParse(spec).String() }
-
-// SchemeByName resolves a scheme label to the deprecated enum.
-//
-// Deprecated: use ParseScheme, which also understands registry specs
-// and parameterized variants the enum cannot express.
-func SchemeByName(name string) (Scheme, error) {
-	parsed, err := scheme.Parse(name)
-	if err != nil {
-		return 0, err
-	}
-	for s, spec := range legacySpecs {
-		if parsed.Spec() == spec {
-			return Scheme(s), nil
-		}
-	}
-	return 0, fmt.Errorf("experiment: scheme %q has no legacy enum value; use ParseScheme", name)
-}
 
 // SweepWorkload runs the Figure-1/Figure-2 style buffer sweep for an
 // arbitrary workload (e.g. one loaded from a JSON file): it returns a

@@ -1,145 +1,19 @@
-// Package network composes single-link routers into multi-hop paths.
-// The paper analyses one multiplexing point; a backbone deployment of
-// its scheme puts one threshold-managed FIFO at every output port. This
-// package provides exactly that: store-and-forward routers whose
-// departed packets are handed to per-flow next hops (with optional
-// propagation delay), plus end-to-end delivery statistics, so the
-// per-node guarantees can be studied in tandem.
+// Package network holds Delivery, the end-to-end sink at the far end
+// of a multi-hop route. It counts each flow's completed packets, bytes
+// and end-to-end delay, and for closed-loop flows it is the TCP
+// receiver: it reassembles segments and answers each one with a
+// cumulative acknowledgement. The topology engine, which wires links
+// into routes, and the sizing study drive it.
 package network
 
 import (
 	"fmt"
 
-	"bufqos/internal/buffer"
 	"bufqos/internal/packet"
-	"bufqos/internal/sched"
-	"bufqos/internal/scheme"
 	"bufqos/internal/sim"
 	"bufqos/internal/stats"
 	"bufqos/internal/units"
 )
-
-// Router is one store-and-forward hop: an output link (scheduler +
-// buffer manager) plus a per-flow routing table that delivers departed
-// packets to their next hop.
-type Router struct {
-	Name string
-
-	sim  *sim.Simulator
-	link *sched.Link
-	col  *stats.Collector
-	// next and nhops are indexed by flow ID, grown on demand — flow IDs
-	// are dense small integers, so slice indexing replaces the former
-	// per-flow map lookups on the forwarding hot path (the CSR
-	// flow-table convention). A nil entry means the flow terminates
-	// here.
-	next  []func(p *packet.Packet)
-	prop  float64
-	nhops []int64 // diagnostics: how many packets forwarded per flow
-}
-
-// NewRouter builds a hop. col may be nil; prop is the propagation delay
-// (seconds) added when forwarding to the next hop.
-func NewRouter(s *sim.Simulator, name string, rate units.Rate, scheduler sched.Scheduler,
-	mgr buffer.Manager, col *stats.Collector, prop float64) *Router {
-	if prop < 0 {
-		panic(fmt.Sprintf("network: negative propagation delay %v", prop))
-	}
-	r := &Router{
-		Name: name,
-		sim:  s,
-		col:  col,
-		prop: prop,
-	}
-	r.link = sched.NewLink(s, rate, scheduler, mgr, col)
-	r.link.OnDepart = r.forward
-	return r
-}
-
-// NewRouterSpec builds a hop from a scheme-registry spec string (e.g.
-// "fifo+threshold", "wfq+sharing", "fifo+red?min=0.2"), so a multi-hop
-// path can mix schemes per hop with the exact builders the experiment
-// layer uses. cfg describes the hop's link (flows, rate, buffer); its
-// Now field defaults to the simulator clock. col may be nil; prop is
-// the propagation delay (seconds) to the next hop.
-func NewRouterSpec(s *sim.Simulator, name, spec string, cfg scheme.Config,
-	col *stats.Collector, prop float64) (*Router, error) {
-	if prop < 0 {
-		return nil, fmt.Errorf("network: router %s: negative propagation delay %v", name, prop)
-	}
-	sc, err := scheme.Parse(spec)
-	if err != nil {
-		return nil, fmt.Errorf("network: router %s: %w", name, err)
-	}
-	if cfg.Now == nil {
-		cfg.Now = s.Now
-	}
-	mgr, scheduler, err := sc.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("network: router %s: %w", name, err)
-	}
-	return NewRouter(s, name, cfg.LinkRate, scheduler, mgr, col, prop), nil
-}
-
-// Link exposes the router's output link (for occupancy inspection or
-// extra hooks — note OnDepart is owned by the router).
-func (r *Router) Link() *sched.Link { return r.link }
-
-// Collector returns the per-hop statistics collector (may be nil).
-func (r *Router) Collector() *stats.Collector { return r.col }
-
-// Receive implements source.Sink: packets enter the router's output
-// queue (ingress processing is not modelled, as in the paper).
-func (r *Router) Receive(p *packet.Packet) { r.link.Receive(p) }
-
-// SetRoute directs departed packets of flow to next. A nil next means
-// the flow terminates here.
-func (r *Router) SetRoute(flow int, next func(p *packet.Packet)) {
-	if flow >= len(r.next) {
-		if next == nil {
-			return
-		}
-		grown := make([]func(p *packet.Packet), flow+1)
-		copy(grown, r.next)
-		r.next = grown
-		hops := make([]int64, flow+1)
-		copy(hops, r.nhops)
-		r.nhops = hops
-	}
-	r.next[flow] = next
-}
-
-// Forwarded returns how many of flow's packets this router has handed
-// to a next hop so far (packets terminating here, or departing with no
-// route set, are not counted).
-func (r *Router) Forwarded(flow int) int64 {
-	if flow >= len(r.nhops) {
-		return 0
-	}
-	return r.nhops[flow]
-}
-
-func (r *Router) forward(p *packet.Packet) {
-	if p.Flow >= len(r.next) {
-		return
-	}
-	next := r.next[p.Flow]
-	if next == nil {
-		return
-	}
-	r.nhops[p.Flow]++
-	if r.prop == 0 {
-		// Forward within the same event: the packet arrives at the next
-		// hop the instant its last bit leaves this one.
-		p.Arrived = r.sim.Now()
-		next(p)
-		return
-	}
-	r.sim.After(r.prop, func() {
-		p.Arrived = r.sim.Now()
-		next(p)
-	})
-}
 
 // Delivery records end-to-end completions at the far end of a path.
 type Delivery struct {
@@ -147,9 +21,8 @@ type Delivery struct {
 	// per-flow counters
 	packets []int64
 	bytes   []units.Bytes
-	dsum    []float64 // running delay sum (exact: same additions in both modes)
+	dsum    []float64 // running delay sum
 	dmax    []float64
-	delays  []*stats.DelayTracker // nil in light mode
 	// tcp is a flat array indexed by flow ID (one contiguous block, no
 	// per-flow pointers), nil until a flow registers an acker; an entry
 	// with a nil ack callback is open-loop.
@@ -261,23 +134,9 @@ func (r *tcpEndpoint) receive(d *Delivery, p *packet.Packet) {
 	r.ack(ap)
 }
 
-// NewDelivery builds an end-to-end sink for nflows flows with full
-// per-flow delay tracking (histogram + exact-sample quantiles).
-func NewDelivery(s *sim.Simulator, nflows int) *Delivery {
-	d := NewDeliveryLight(s, nflows)
-	d.delays = make([]*stats.DelayTracker, nflows)
-	for i := range d.delays {
-		d.delays[i] = stats.NewDelayTracker(0)
-	}
-	return d
-}
-
-// NewDeliveryLight builds a sink that records only each flow's count,
-// byte volume, delay sum, and delay maximum — no histograms or sample
-// reservoirs. With 10⁵ flows the full trackers cost tens of kilobytes
-// each; the light mode keeps MeanDelay and MaxDelay bit-identical to the
-// full mode (the same float additions in the same order) at 32 bytes per
-// flow. Delay returns nil for every flow in this mode.
+// NewDeliveryLight builds a sink for nflows flows that records only
+// each flow's count, byte volume, delay sum, and delay maximum — no
+// histograms or sample reservoirs, so it costs 32 bytes per flow.
 func NewDeliveryLight(s *sim.Simulator, nflows int) *Delivery {
 	return &Delivery{
 		sim:     s,
@@ -306,9 +165,6 @@ func (d *Delivery) Receive(p *packet.Packet) {
 	d.dsum[p.Flow] += delay
 	if delay > d.dmax[p.Flow] {
 		d.dmax[p.Flow] = delay
-	}
-	if d.delays != nil {
-		d.delays[p.Flow].Add(delay)
 	}
 	if d.tcp != nil {
 		if r := &d.tcp[p.Flow]; r.ack != nil {
@@ -361,18 +217,8 @@ func (d *Delivery) Throughput(flow int) units.Rate {
 	return units.Rate(d.bytes[flow].Bits() / d.sim.Now())
 }
 
-// Delay returns flow's end-to-end delay tracker (source departure to
-// final delivery), or nil for a light-mode sink.
-func (d *Delivery) Delay(flow int) *stats.DelayTracker {
-	if d.delays == nil {
-		return nil
-	}
-	return d.delays[flow]
-}
-
 // MeanDelay returns flow's average end-to-end delay in seconds (0 when
-// nothing was delivered). Available in both full and light modes, with
-// bit-identical values.
+// nothing was delivered).
 func (d *Delivery) MeanDelay(flow int) float64 {
 	if d.packets[flow] == 0 {
 		return 0
@@ -387,33 +233,3 @@ func (d *Delivery) MaxDelay(flow int) float64 { return d.dmax[flow] }
 // engines merge per-shard sinks by adding sums (a flow delivers on
 // exactly one shard, so the others contribute exact zeros).
 func (d *Delivery) DelaySum(flow int) float64 { return d.dsum[flow] }
-
-// Path wires a chain of routers for a set of flows: every flow entering
-// at the head traverses all hops and terminates in the Delivery sink.
-type Path struct {
-	Routers  []*Router
-	Delivery *Delivery
-}
-
-// NewPath connects routers head-to-tail for flows 0..nflows-1 and
-// attaches a Delivery at the end.
-func NewPath(s *sim.Simulator, routers []*Router, nflows int) *Path {
-	if len(routers) == 0 {
-		panic("network: empty path")
-	}
-	d := NewDelivery(s, nflows)
-	for i, r := range routers {
-		for flow := 0; flow < nflows; flow++ {
-			if i+1 < len(routers) {
-				next := routers[i+1]
-				r.SetRoute(flow, next.Receive)
-			} else {
-				r.SetRoute(flow, d.Receive)
-			}
-		}
-	}
-	return &Path{Routers: routers, Delivery: d}
-}
-
-// Head returns the path's entry sink.
-func (p *Path) Head() *Router { return p.Routers[0] }

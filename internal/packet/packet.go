@@ -4,6 +4,7 @@ package packet
 
 import (
 	"fmt"
+	"math"
 
 	"bufqos/internal/units"
 )
@@ -68,9 +69,15 @@ type FlowSpec struct {
 	BucketSize units.Bytes
 }
 
-// Validate reports a descriptive error for non-physical specs.
+// Validate reports a descriptive error for non-physical specs. NaN and
+// ±Inf rates are rejected explicitly: every ordered comparison with NaN
+// is false, so the range checks alone would let a NaN through.
 func (s FlowSpec) Validate() error {
 	switch {
+	case !finite(s.TokenRate):
+		return fmt.Errorf("flow spec: token rate %v must be finite", s.TokenRate)
+	case !finite(s.PeakRate):
+		return fmt.Errorf("flow spec: peak rate %v must be finite", s.PeakRate)
 	case s.TokenRate <= 0:
 		return fmt.Errorf("flow spec: token rate %v must be positive", s.TokenRate)
 	case s.BucketSize < 0:
@@ -79,6 +86,10 @@ func (s FlowSpec) Validate() error {
 		return fmt.Errorf("flow spec: peak rate %v below token rate %v", s.PeakRate, s.TokenRate)
 	}
 	return nil
+}
+
+func finite(r units.Rate) bool {
+	return !math.IsNaN(float64(r)) && !math.IsInf(float64(r), 0)
 }
 
 // SigmaBits returns σ in bits, the unit the paper's formulas use.

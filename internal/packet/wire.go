@@ -70,7 +70,9 @@ func (s *FlowSpec) UnmarshalJSON(data []byte) error {
 
 // parseWireFast scans the flat {"key":value,...} shape directly,
 // reporting ok=false whenever the input is anything but that exact
-// shape — the slow path then owns the verdict.
+// shape — the slow path then owns the verdict. Escapes and control
+// bytes inside strings are left to the slow path too; bare values must
+// be JSON numbers, which the units decoders check.
 func parseWireFast(data []byte) (flowSpecWire, bool) {
 	var w flowSpecWire
 	i, n := 0, len(data)
@@ -102,7 +104,7 @@ func parseWireFast(data []byte) (flowSpecWire, bool) {
 		}
 		j := i + 1
 		for j < n && data[j] != '"' {
-			if data[j] == '\\' {
+			if data[j] == '\\' || data[j] < ' ' {
 				return w, false
 			}
 			j++
@@ -122,7 +124,7 @@ func parseWireFast(data []byte) (flowSpecWire, bool) {
 		if i < n && data[i] == '"' {
 			i++
 			for i < n && data[i] != '"' {
-				if data[i] == '\\' {
+				if data[i] == '\\' || data[i] < ' ' {
 					return w, false
 				}
 				i++
@@ -166,9 +168,16 @@ func parseWireFast(data []byte) (flowSpecWire, bool) {
 	return w, i == n
 }
 
-// strictUnmarshal is json.Unmarshal with DisallowUnknownFields.
+// strictUnmarshal is json.Unmarshal with DisallowUnknownFields: one
+// JSON value, optionally surrounded by whitespace, and nothing else.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.Trim(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("trailing data after the flow spec: %.20q", rest)
+	}
+	return nil
 }

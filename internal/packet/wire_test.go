@@ -2,6 +2,7 @@ package packet
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"bufqos/internal/units"
@@ -74,6 +75,10 @@ func TestFlowSpecFastParserAgreesWithStrict(t *testing.T) {
 		`{"token":"2Mbit/s"`,                                // truncated
 		`{"token":"2Mbit/s","bucket":"60\u004BB"}`,          // escape: slow path
 		`{"token":"oops","bucket":"60KB"}`,                  // bad value
+		`{"token":+2e6,"bucket":60000}`,                     // not a JSON number
+		`{"token":0x1p21,"bucket":60000}`,                   // not a JSON number
+		"{\"token\":\"2Mbit/s\",\"bucket\":\"60\tKB\"}",     // control byte in a string
+		`{"token":"2Mbit/s","bucket":"60KB"} {}`,            // trailing data
 		`[1,2]`,
 		`"2Mbit/s"`,
 	}
@@ -88,6 +93,49 @@ func TestFlowSpecFastParserAgreesWithStrict(t *testing.T) {
 		}
 		if fastErr == nil && (fast.PeakRate != slow.Peak || fast.TokenRate != slow.Token || fast.BucketSize != slow.Bucket) {
 			t.Errorf("%s: fast %+v, strict %+v", c, fast, slow)
+		}
+		// UnmarshalJSON is also called directly on raw bytes, so the
+		// scanner must never accept what the strict decoder refuses.
+		if w, ok := parseWireFast([]byte(c)); ok && (slowErr != nil || w != slow) {
+			t.Errorf("%s: scanner accepted %+v, strict %+v (%v)", c, w, slow, slowErr)
+		}
+	}
+}
+
+func TestFlowSpecRejectsNonFinite(t *testing.T) {
+	// The admission-disabling spec: NaN passes every "<= 0" check.
+	for _, doc := range []string{
+		`{"token":"NaNMbit/s","bucket":"10KB"}`,
+		`{"token":"InfMbit/s","bucket":"10KB"}`,
+		`{"peak":"NaNMbit/s","token":"1Mbit/s","bucket":"10KB"}`,
+		`{"token":"1Mbit/s","bucket":"InfKB"}`,
+		`{"token":"1Mbit/s","bucket":"NaNKB"}`,
+		`{"token":"1e300Gbit/s","bucket":"10KB"}`,
+		`{"token":1e400,"bucket":10000}`,
+		`{"token":1000000,"bucket":1e19}`,
+		`{"token":NaN,"bucket":10000}`,
+	} {
+		if w, ok := parseWireFast([]byte(doc)); ok {
+			t.Errorf("%s: fast parser accepted %+v", doc, w)
+		}
+		var w flowSpecWire
+		if err := strictUnmarshal([]byte(doc), &w); err == nil {
+			t.Errorf("%s: strict decoder accepted %+v", doc, w)
+		}
+		var s FlowSpec
+		if err := json.Unmarshal([]byte(doc), &s); err == nil {
+			t.Errorf("%s: decoded to %+v", doc, s)
+		}
+	}
+	nan, inf := units.Rate(math.NaN()), units.Rate(math.Inf(1))
+	for _, s := range []FlowSpec{
+		{TokenRate: nan, BucketSize: 10000},
+		{TokenRate: inf, BucketSize: 10000},
+		{PeakRate: nan, TokenRate: units.Mbps, BucketSize: 10000},
+		{PeakRate: inf, TokenRate: units.Mbps, BucketSize: 10000},
+	} {
+		if s.Validate() == nil {
+			t.Errorf("Validate passed %+v", s)
 		}
 	}
 }

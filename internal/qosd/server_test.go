@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -375,5 +376,45 @@ func TestWireSpecEncoding(t *testing.T) {
 	call(t, ts, "GET", "/v1/snapshot", nil, &snap)
 	if snap.Flows[0].Spec != vidSpec() {
 		t.Errorf("decoded spec %+v, want %+v", snap.Flows[0].Spec, vidSpec())
+	}
+}
+
+// TestJoinRejectsNonFiniteSpec: a NaN reservation is a client error and
+// leaves the daemon's state untouched; before the fix it was admitted
+// and turned off admission control on the link for every later join.
+func TestJoinRejectsNonFiniteSpec(t *testing.T) {
+	_, ts := newTestServer(t)
+	var d Decision
+	call(t, ts, "POST", "/v1/join", JoinRequest{Flow: "f0", Links: []string{"a->b"}, Spec: vidSpec()}, &d)
+	var before Snapshot
+	if code := call(t, ts, "GET", "/v1/snapshot", nil, &before); code != 200 {
+		t.Fatalf("snapshot: code %d", code)
+	}
+	for _, body := range []string{
+		`{"flow":"nan","links":["a->b"],"spec":{"token":"NaNMbit/s","bucket":"10KB"}}`,
+		`{"flow":"inf","links":["a->b"],"spec":{"token":"InfMbit/s","bucket":"10KB"}}`,
+		`{"flow":"big","links":["a->b"],"spec":{"token":"1Mbit/s","bucket":"InfKB"}}`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/join", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s: code %d, want a client error", body, resp.StatusCode)
+		}
+	}
+	var after Snapshot
+	if code := call(t, ts, "GET", "/v1/snapshot", nil, &after); code != 200 {
+		t.Fatalf("snapshot after: code %d", code)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("rejected joins changed the snapshot:\n%+v\n%+v", before, after)
+	}
+	probe := JoinRequest{Flow: "probe", Links: []string{"a->b"}, Spec: packet.FlowSpec{
+		PeakRate: units.Gbps, TokenRate: units.Gbps, BucketSize: units.MegaBytes(100),
+	}}
+	if call(t, ts, "POST", "/v1/join", probe, &d); d.Admitted || d.Reason != core.BandwidthLimited.String() {
+		t.Errorf("1 Gb/s probe on a 48 Mb/s link: %+v, want bandwidth-limited", d)
 	}
 }

@@ -4,9 +4,11 @@
 // explicit multi-hop routes and (σ, ρ) envelopes, and a timeline of
 // events (flow churn, link rate changes, failures). The engine gates
 // every flow join at every traversed link through the paper's
-// admission regions (Prop. 2 / eqs. 5–8), instantiates one
-// network.Router per link through the scheme registry, drives the whole
-// scenario on the deterministic event kernel, and verifies afterwards
+// admission regions (Prop. 2 / eqs. 5–8), builds each link's scheduler
+// and buffer manager through the scheme registry, forwards departures
+// hop by hop into a network.Delivery sink at the end of each route,
+// drives the whole scenario on the deterministic event kernel (split
+// across shards when asked), and verifies afterwards
 // that the per-hop guarantees composed: admitted conformant flows see
 // zero conformant loss at every hop and deliver their reserved rate.
 //

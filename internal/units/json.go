@@ -2,6 +2,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -14,7 +15,9 @@ import (
 // Marshalling always picks the largest unit that represents the value
 // exactly (falling back to the base unit, which always does), so every
 // value round-trips bit-for-bit. Unmarshalling additionally accepts a
-// bare JSON number in the base unit (bits/s, bytes, seconds).
+// bare JSON number in the base unit (bits/s, bytes, seconds). Every
+// decoded value is finite: NaN, ±Inf and results that overflow float64
+// fail to parse, as do sizes outside the int64 byte range.
 
 // jsonScaled renders v as value/scale + suffix when that division is
 // exact under round-trip, or "" when it is not.
@@ -37,6 +40,69 @@ func unquote(data []byte) (string, bool) {
 	return s, false
 }
 
+// parseFinite parses a decimal number and multiplies it by scale,
+// rejecting NaN and ±Inf results (strconv accepts their spellings, and
+// scaling can overflow to Inf).
+func parseFinite(s string, scale float64) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	v *= scale
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return v, nil
+}
+
+// parseBare parses an unquoted JSON number. strconv.ParseFloat also
+// accepts forms JSON forbids ("+1", ".5", "0x1p3", "Inf"), so the
+// literal is checked against the JSON number grammar first.
+func parseBare(data []byte) (float64, error) {
+	if !jsonNumber(data) {
+		return 0, fmt.Errorf("%s is not a JSON number", data)
+	}
+	return parseFinite(string(data), 1)
+}
+
+// jsonNumber reports whether b matches the JSON number grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func jsonNumber(b []byte) bool {
+	i, n := 0, len(b)
+	digits := func() bool {
+		start := i
+		for i < n && b[i] >= '0' && b[i] <= '9' {
+			i++
+		}
+		return i > start
+	}
+	if i < n && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < n && b[i] == '0':
+		i++
+	case !digits():
+		return false
+	}
+	if i < n && b[i] == '.' {
+		i++
+		if !digits() {
+			return false
+		}
+	}
+	if i < n && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < n && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return false
+		}
+	}
+	return i == n
+}
+
 // parseSuffixed splits a "<number><suffix>" form against a suffix→scale
 // table, longest suffix first (the caller orders the table).
 func parseSuffixed(s string, suffixes []struct {
@@ -46,14 +112,14 @@ func parseSuffixed(s string, suffixes []struct {
 	t := strings.TrimSpace(strings.ToLower(s))
 	for _, e := range suffixes {
 		if rest, ok := strings.CutSuffix(t, e.suf); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+			v, err := parseFinite(strings.TrimSpace(rest), e.scale)
 			if err != nil {
 				return 0, fmt.Errorf("units: bad value in %q: %w", s, err)
 			}
-			return v * e.scale, nil
+			return v, nil
 		}
 	}
-	v, err := strconv.ParseFloat(t, 64)
+	v, err := parseFinite(t, 1)
 	if err != nil {
 		return 0, fmt.Errorf("units: %q has no recognized unit suffix", s)
 	}
@@ -91,9 +157,9 @@ var rateSuffixes = []struct {
 func (r *Rate) UnmarshalJSON(data []byte) error {
 	s, quoted := unquote(data)
 	if !quoted {
-		v, err := strconv.ParseFloat(s, 64)
+		v, err := parseBare(data)
 		if err != nil {
-			return fmt.Errorf("units: rate %s: %w", data, err)
+			return fmt.Errorf("units: rate %w", err)
 		}
 		*r = Rate(v)
 		return nil
@@ -131,20 +197,21 @@ var bytesSuffixes = []struct {
 
 // UnmarshalJSON accepts "100KB", "1.5MB", "512B" (decimal units) or a
 // bare number in bytes. Fractional results truncate to whole bytes,
-// matching KiloBytes/MegaBytes.
+// matching KiloBytes/MegaBytes; sizes outside the int64 range fail.
 func (b *Bytes) UnmarshalJSON(data []byte) error {
-	s, quoted := unquote(data)
-	if !quoted {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("units: size %s: %w", data, err)
-		}
-		*b = Bytes(v)
-		return nil
+	var v float64
+	var err error
+	if s, quoted := unquote(data); quoted {
+		v, err = parseSuffixed(s, bytesSuffixes)
+	} else {
+		v, err = parseBare(data)
 	}
-	v, err := parseSuffixed(s, bytesSuffixes)
 	if err != nil {
 		return fmt.Errorf("units: size %w", err)
+	}
+	// int64 holds [-2⁶³, 2⁶³); both bounds are exact float64s.
+	if v < -(1<<63) || v >= 1<<63 {
+		return fmt.Errorf("units: size %s overflows int64 bytes", data)
 	}
 	*b = Bytes(v)
 	return nil
@@ -184,9 +251,9 @@ var timeSuffixes = []struct {
 func (t *Time) UnmarshalJSON(data []byte) error {
 	s, quoted := unquote(data)
 	if !quoted {
-		v, err := strconv.ParseFloat(s, 64)
+		v, err := parseBare(data)
 		if err != nil {
-			return fmt.Errorf("units: time %s: %w", data, err)
+			return fmt.Errorf("units: time %w", err)
 		}
 		*t = Time(v)
 		return nil

@@ -154,3 +154,61 @@ func TestTimeHelpers(t *testing.T) {
 		}
 	}
 }
+
+func TestJSONRejectsNonFinite(t *testing.T) {
+	// strconv.ParseFloat accepts "NaN" and "Inf", and scaling a huge
+	// mantissa by a suffix overflows to Inf; none of these may decode.
+	// Sizes must also fit int64 bytes: converting a larger float is
+	// implementation-defined (amd64 yields -9223372036854775808).
+	for _, c := range []struct {
+		in  string
+		dst any
+	}{
+		{`"NaNMbit/s"`, new(Rate)},
+		{`"InfMbit/s"`, new(Rate)},
+		{`"-infbit/s"`, new(Rate)},
+		{`"NaN"`, new(Rate)},
+		{`"1e300Gbit/s"`, new(Rate)},
+		{`"1e400bit/s"`, new(Rate)},
+		{`1e400`, new(Rate)},
+		{`NaN`, new(Rate)},
+		{`Inf`, new(Rate)},
+		{`"InfKB"`, new(Bytes)},
+		{`"NaNKB"`, new(Bytes)},
+		{`"1e19B"`, new(Bytes)},
+		{`"-1e19B"`, new(Bytes)},
+		{`"9.3e9GB"`, new(Bytes)},
+		{`1e19`, new(Bytes)},
+		{`9223372036854775807`, new(Bytes)}, // rounds to 2⁶³ as a float64
+		{`1e400`, new(Bytes)},
+		{`"NaNs"`, new(Time)},
+		{`"Infms"`, new(Time)},
+		{`NaN`, new(Time)},
+	} {
+		if err := json.Unmarshal([]byte(c.in), c.dst); err == nil {
+			t.Errorf("%s decoded into %T as %v", c.in, c.dst, c.dst)
+		}
+	}
+	var b Bytes
+	if err := json.Unmarshal([]byte(`"-9223372036854775808B"`), &b); err != nil || b != math.MinInt64 {
+		t.Errorf("smallest int64 size: %v, %v", int64(b), err)
+	}
+}
+
+func TestBareNumbersFollowJSONGrammar(t *testing.T) {
+	// UnmarshalJSON may be called directly (the flow-spec fast scanner
+	// does), so a bare literal must be a JSON number, not merely
+	// something strconv.ParseFloat accepts.
+	for _, in := range []string{`+5`, `.5`, `5.`, `05`, `0x10`, `1e`, `-`, `1_0`, `infinity`, ``} {
+		var r Rate
+		if err := r.UnmarshalJSON([]byte(in)); err == nil {
+			t.Errorf("bare %q accepted as %v", in, float64(r))
+		}
+	}
+	for in, want := range map[string]Rate{`0`: 0, `-0.5`: -0.5, `1.5e3`: 1500, `2E+2`: 200, `10`: 10} {
+		var r Rate
+		if err := r.UnmarshalJSON([]byte(in)); err != nil || r != want {
+			t.Errorf("bare %q = %v, %v; want %v", in, float64(r), err, float64(want))
+		}
+	}
+}

@@ -14,15 +14,17 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/legacy_golden.json from the current implementation")
 
-// legacyGoldenSpecs is every registry spec the golden file pins, in
-// the order of the scheme enum that preceded the registry. The golden
-// file keys results by the spec's display label, so table labels are
-// pinned at the same time.
+// legacyGoldenSpecs is every registry spec the golden file pins: the
+// scheme enum that preceded the registry, in its order, then the
+// preemptive combined queue/managers. The golden file keys results by
+// the spec's display label, so table labels are pinned at the same
+// time.
 var legacyGoldenSpecs = []string{
 	"fifo+none", "wfq+none", "fifo+threshold", "wfq+threshold",
 	"fifo+sharing", "wfq+sharing", "hybrid+sharing",
 	"fifo+dynthresh", "fifo+red", "fifo+adaptive",
 	"rpq+threshold", "drr+threshold", "edf+threshold", "vc+threshold",
+	"pushout", "cgreedy", "classseg", "lqf", "semigreedy",
 }
 
 // legacyGoldenOptions is the fixed scenario the guard runs every scheme

@@ -2,7 +2,7 @@
 # build + vet + full tests, then a short-mode race check of the
 # parallel sweep worker pool (including cancellation and shared-
 # registry metrics aggregation) so it stays race-clean.
-.PHONY: verify build vet test race lint bench bench-json bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke bench-qosd comp-smoke sizing-smoke perfbench-check
+.PHONY: verify build vet test race lint loc bench bench-json bench-smoke topo-smoke tcp-smoke fuzz-smoke fuzz-nightly docs-check qosd-smoke bench-qosd comp-smoke sizing-smoke perfbench-check
 
 verify: build vet test race
 
@@ -24,6 +24,11 @@ lint:
 		gofmt -d $$unformatted; exit 1; \
 	fi
 	go vet ./...
+
+# Size gate for simplicity changes: the non-test Go line count outside
+# the benchmark module. Changes that simplify report it before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.*' | xargs cat | wc -l
 
 race:
 	go test -race -short -run 'TestParallel|TestPool|TestSweepCancel|TestMetricsDeterministic' ./internal/experiment

@@ -105,7 +105,15 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	// Timeouts bound what a slow or idle client can hold: headers must
+	// arrive promptly, a whole request (a 64 MB restore included) within
+	// a minute, and an idle keep-alive connection is closed after two.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

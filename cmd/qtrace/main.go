@@ -130,23 +130,18 @@ func main() {
 		if err != nil {
 			fatalf("building %s: %v", sc.Spec(), err)
 		}
-		// Occupancy columns for every flow; sharing-family managers
-		// additionally expose their holes/headroom pool levels.
+		// Occupancy columns for every flow; the sharing managers (§3.3
+		// and its §5 adaptive form) additionally expose their
+		// holes/headroom pool levels.
 		labels = occupancyLabels(len(flows))
-		switch m := mgr.(type) {
-		case *buffer.Sharing:
+		var pools func() []float64
+		if m, ok := mgr.(*buffer.Sharing); ok {
 			labels = append(labels, "holes", "headroom")
-			probe = occupancyProbe(mgr, len(flows), func() []float64 {
+			pools = func() []float64 {
 				return []float64{float64(m.Holes()), float64(m.Headroom())}
-			})
-		case *buffer.AdaptiveSharing:
-			labels = append(labels, "holes", "headroom")
-			probe = occupancyProbe(mgr, len(flows), func() []float64 {
-				return []float64{float64(m.Holes()), float64(m.Headroom())}
-			})
-		default:
-			probe = occupancyProbe(mgr, len(flows), nil)
+			}
 		}
+		probe = occupancyProbe(mgr, len(flows), pools)
 		link := sched.NewLink(s, linkRate, scheduler, mgr, nil)
 		instrument(link, sc.String())
 		for i, f := range flows {

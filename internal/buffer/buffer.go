@@ -12,10 +12,20 @@
 //     compares its sharing rule against.
 //   - RED: Random Early Detection, one of the O(1) schemes cited in the
 //     introduction, included as an additional baseline.
+//   - NewAdaptiveSharing: the §5 sketch, Sharing where flows that do
+//     not respond to loss borrow only a fraction of the holes.
 //
-// All managers account occupancy in bytes and make O(1) admission
+// All of these account occupancy in bytes and make O(1) admission
 // decisions from the flow's own occupancy plus global counters — the
 // property that makes the approach scalable.
+//
+// The combined queue/managers decide from the queue itself and also
+// serve as the link's scheduler: PushoutFIFO (the protective pushout
+// of the paper's reference [2]), and the class policies of the
+// competitive-analysis literature, ClassGreedy and ClassSeg
+// (arXiv:1103.6049) and MultiQueue (arXiv:1007.1535). They keep the
+// same occupancy ledger, so their drops, pushouts included, are
+// counted like every other manager's.
 package buffer
 
 import (

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -129,6 +131,41 @@ func TestRunMetricsPopulated(t *testing.T) {
 		}
 		if v <= 0 {
 			t.Errorf("metric %s = %v, want > 0", name, v)
+		}
+	}
+}
+
+// TestPreemptiveDropsOnLedger: on the golden scenario, every preemptive
+// scheme's buffer ledger counts exactly the drops the link's collector
+// records, refused arrivals plus pushed-out packets, in total and per
+// flow: a pushed-out victim is a drop of its own flow.
+func TestPreemptiveDropsOnLedger(t *testing.T) {
+	for _, spec := range []string{"pushout", "cgreedy", "classseg", "lqf", "semigreedy"} {
+		reg := metrics.NewRegistry()
+		o := legacyGoldenOptions(spec)
+		WithWarmup(0)(o) // the collector then sees every drop the ledger does
+		o.Metrics = reg
+		res, err := Run(context.Background(), o)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		var want int64
+		for i, loss := range res.FlowLoss {
+			// Every Table 1 packet has DefaultPacketSize bytes, so the
+			// collector's byte counts give its packet counts exactly.
+			offered := res.OfferedRate[i].BitsPerSecond() * o.Duration / 8
+			dropped := int64(math.Round(loss * offered / float64(DefaultPacketSize)))
+			want += dropped
+			name := "buffer.drops.flow" + strconv.Itoa(i)
+			if got, ok := reg.Value(name); !ok || int64(got) != dropped {
+				t.Errorf("%s: %s = %v (registered %v), collector dropped %d", spec, name, got, ok, dropped)
+			}
+		}
+		if want == 0 {
+			t.Errorf("%s: no drops on the golden scenario; the check is vacuous", spec)
+		}
+		if got, ok := reg.Value("buffer.drops"); !ok || int64(got) != want {
+			t.Errorf("%s: buffer.drops = %v (registered %v), collector dropped %d", spec, got, ok, want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 // package: it describes one simulation run (flows, scheme, buffer,
 // duration, seed) and how sweeps over such runs execute (replications,
 // swept axes, worker count) and are observed (metrics registry,
-// progress callbacks, trace sampling).
+// progress callbacks).
 //
 // Build an Options with NewOptions and functional options:
 //
@@ -89,12 +88,6 @@ type Options struct {
 	// sweep with completion counts and an ETA. It may be called
 	// concurrently from pool workers.
 	Progress ProgressFunc
-	// TraceInterval/TraceWriter enable the periodic snapshot hook: a
-	// single Run (not sweeps) samples its metrics every TraceInterval
-	// simulated seconds and writes the series as CSV to TraceWriter
-	// when the run completes. Requires Metrics.
-	TraceInterval float64
-	TraceWriter   io.Writer
 
 	// warmupSet / seedSet mark explicit zeros. Only WithWarmup/WithSeed
 	// can set them.
@@ -180,14 +173,6 @@ func WithMetrics(r *metrics.Registry) Option { return func(o *Options) { o.Metri
 
 // WithProgress attaches a sweep progress callback.
 func WithProgress(fn ProgressFunc) Option { return func(o *Options) { o.Progress = fn } }
-
-// WithTrace enables periodic metric snapshots on single runs: every
-// interval simulated seconds the run's metrics are sampled, and the
-// series is written as CSV to w when the run finishes. Requires
-// WithMetrics.
-func WithTrace(interval float64, w io.Writer) Option {
-	return func(o *Options) { o.TraceInterval = interval; o.TraceWriter = w }
-}
 
 // defaults fills unset fields with the paper's setup. It mutates the
 // receiver, so callers work on a copy of caller-owned Options.

@@ -197,12 +197,13 @@ func TestJoinRejectionNamesFirstRefusingLink(t *testing.T) {
 func TestBatchJoin(t *testing.T) {
 	_, ts := newTestServer(t)
 	hog := packet.FlowSpec{TokenRate: units.MbitsPerSecond(30), BucketSize: units.KiloBytes(10)}
-	req := BatchRequest{Joins: []JoinRequest{
-		{Flow: "b0", Links: []string{"a->b", "b->c"}, Spec: vidSpec()},
-		{Flow: "b1", Links: []string{"a->b"}, Spec: hog},
-		{Flow: "b2", Links: []string{"a->b"}, Spec: hog},       // Σρ over rate: rejected
-		{Flow: "b0", Links: []string{"a->b"}, Spec: vidSpec()}, // duplicate: error
-		{Flow: "b3", Links: []string{"nope"}, Spec: vidSpec()}, // unknown link: error
+	vid := vidSpec()
+	req := BatchRequest{Ops: []BatchOp{
+		{Flow: "b0", Links: []string{"a->b", "b->c"}, Spec: &vid},
+		{Flow: "b1", Links: []string{"a->b"}, Spec: &hog},
+		{Flow: "b2", Links: []string{"a->b"}, Spec: &hog}, // Σρ over rate: rejected
+		{Flow: "b0", Links: []string{"a->b"}, Spec: &vid}, // duplicate: error
+		{Flow: "b3", Links: []string{"nope"}, Spec: &vid}, // unknown link: error
 	}}
 	var resp BatchResponse
 	if code := call(t, ts, "POST", "/v1/batch", req, &resp); code != 200 {
@@ -416,5 +417,81 @@ func TestJoinRejectsNonFiniteSpec(t *testing.T) {
 	}}
 	if call(t, ts, "POST", "/v1/join", probe, &d); d.Admitted || d.Reason != core.BandwidthLimited.String() {
 		t.Errorf("1 Gb/s probe on a 48 Mb/s link: %+v, want bandwidth-limited", d)
+	}
+}
+
+// snapshotOf fetches the daemon's full state.
+func snapshotOf(t *testing.T, ts *httptest.Server) Snapshot {
+	t.Helper()
+	var snap Snapshot
+	if code := call(t, ts, "GET", "/v1/snapshot", nil, &snap); code != 200 {
+		t.Fatalf("snapshot: code %d", code)
+	}
+	return snap
+}
+
+// postRaw POSTs body as is and returns the status code.
+func postRaw(t *testing.T, ts *httptest.Server, path string, body []byte) int {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestOversizedBodyRefused: a join or batch body over the request
+// limit is refused with 413 before any decision, even when every entry
+// in it is a valid join, and the flow table is unchanged.
+func TestOversizedBodyRefused(t *testing.T) {
+	_, ts := newTestServer(t)
+	var d Decision
+	call(t, ts, "POST", "/v1/join", JoinRequest{Flow: "f0", Links: []string{"a->b"}, Spec: vidSpec()}, &d)
+	before := snapshotOf(t, ts)
+
+	spec := `"spec":{"peak":"6Mbit/s","token":"2Mbit/s","bucket":"60KB"}`
+	long := strings.Repeat("x", maxBodyBytes)
+	join := fmt.Sprintf(`{"flow":"%s","links":["a->b"],%s}`, long, spec)
+	var ops []string
+	for i := 0; i*64<<10 <= maxBodyBytes; i++ {
+		ops = append(ops, fmt.Sprintf(`{"flow":"%d%s","links":["a->b"],%s}`, i, long[:64<<10], spec))
+	}
+	batch := `{"ops":[` + strings.Join(ops, ",") + `]}`
+	for path, body := range map[string]string{"/v1/join": join, "/v1/batch": batch} {
+		if code := postRaw(t, ts, path, []byte(body)); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: code %d, want 413", path, len(body), code)
+		}
+	}
+	if after := snapshotOf(t, ts); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused bodies changed the snapshot:\n%+v\n%+v", before, after)
+	}
+}
+
+// TestOverCapBatchRefused: a batch of more operations than the limit is
+// refused with 413 as a whole — not even its leading valid join is
+// decided — and the flow table is unchanged.
+func TestOverCapBatchRefused(t *testing.T) {
+	_, ts := newTestServer(t)
+	before := snapshotOf(t, ts)
+	vid := vidSpec()
+	req := BatchRequest{Ops: []BatchOp{{Flow: "first", Links: []string{"a->b"}, Spec: &vid}}}
+	for len(req.Ops) <= maxBatchOps {
+		req.Ops = append(req.Ops, BatchOp{Op: "leave", Flow: "nope"})
+	}
+	if code := call(t, ts, "POST", "/v1/batch", req, nil); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("batch of %d ops: code %d, want 413", len(req.Ops), code)
+	}
+	if after := snapshotOf(t, ts); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused batch changed the snapshot:\n%+v\n%+v", before, after)
+	}
+	// One op fewer is within the limit and decided.
+	req.Ops = req.Ops[:maxBatchOps]
+	var resp BatchResponse
+	if code := call(t, ts, "POST", "/v1/batch", req, &resp); code != 200 || len(resp.Decisions) != maxBatchOps {
+		t.Fatalf("batch of %d ops: code %d, %d decisions", len(req.Ops), code, len(resp.Decisions))
+	}
+	if !resp.Decisions[0].Admitted {
+		t.Errorf("leading join of a batch at the limit: %+v", resp.Decisions[0])
 	}
 }

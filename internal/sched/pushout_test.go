@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"bufqos/internal/buffer"
 	"bufqos/internal/packet"
 	"bufqos/internal/sim"
 	"bufqos/internal/source"
@@ -10,8 +11,20 @@ import (
 	"bufqos/internal/units"
 )
 
+// The combined queue/managers of internal/buffer serve as a Link's
+// scheduler, and the preemptive ones report their victims to it.
+var (
+	_ Scheduler       = (*buffer.PushoutFIFO)(nil)
+	_ Scheduler       = (*buffer.ClassGreedy)(nil)
+	_ Scheduler       = (*buffer.ClassSeg)(nil)
+	_ Scheduler       = (*buffer.MultiQueue)(nil)
+	_ PushoutNotifier = (*buffer.PushoutFIFO)(nil)
+	_ PushoutNotifier = (*buffer.ClassGreedy)(nil)
+	_ PushoutNotifier = (*buffer.ClassSeg)(nil)
+)
+
 func TestPushoutBasicFIFO(t *testing.T) {
-	po := NewPushoutFIFO(10000, []units.Bytes{5000, 5000})
+	po := buffer.NewPushoutFIFO(10000, []units.Bytes{5000, 5000})
 	for i := 0; i < 4; i++ {
 		p := mkPkt(i%2, 500, uint64(i))
 		if !po.Admit(p.Flow, p.Size) {
@@ -32,9 +45,9 @@ func TestPushoutBasicFIFO(t *testing.T) {
 }
 
 func TestPushoutEvictsOverShareFlow(t *testing.T) {
-	po := NewPushoutFIFO(2000, []units.Bytes{1000, 1000})
+	po := buffer.NewPushoutFIFO(2000, []units.Bytes{1000, 1000})
 	var pushed []*packet.Packet
-	po.OnPushout = func(p *packet.Packet) { pushed = append(pushed, p) }
+	po.SetOnPushout(func(p *packet.Packet) { pushed = append(pushed, p) })
 	// Flow 1 fills the whole buffer (allowed: admission only protects
 	// when full).
 	for i := 0; i < 4; i++ {
@@ -72,7 +85,7 @@ func TestPushoutEvictsOverShareFlow(t *testing.T) {
 }
 
 func TestPushoutOverShareArrivalRejected(t *testing.T) {
-	po := NewPushoutFIFO(1000, []units.Bytes{500, 500})
+	po := buffer.NewPushoutFIFO(1000, []units.Bytes{500, 500})
 	for i := 0; i < 2; i++ {
 		po.Admit(0, 500)
 		po.Enqueue(mkPkt(0, 500, uint64(i)))
@@ -91,7 +104,7 @@ func TestPushoutOverShareArrivalRejected(t *testing.T) {
 func TestPushoutCannotEvictPacketInService(t *testing.T) {
 	// Only one packet total, and it has been dequeued (in service):
 	// occupancy is still held but nothing is queued to push.
-	po := NewPushoutFIFO(500, []units.Bytes{250, 250})
+	po := buffer.NewPushoutFIFO(500, []units.Bytes{250, 250})
 	po.Admit(1, 500)
 	po.Enqueue(mkPkt(1, 500, 0))
 	if po.Dequeue() == nil {
@@ -110,9 +123,8 @@ func TestPushoutProtectsConformantEndToEnd(t *testing.T) {
 	rate := units.MbitsPerSecond(48)
 	bufSize := units.KiloBytes(200)
 	shares := []units.Bytes{units.Bytes(float64(bufSize) * 8 / 48), units.Bytes(float64(bufSize) * 40 / 48)}
-	po := NewPushoutFIFO(bufSize, shares)
+	po := buffer.NewPushoutFIFO(bufSize, shares)
 	col := stats.NewCollector(2, 1)
-	po.OnPushout = func(p *packet.Packet) { col.Dropped(p, s.Now()) }
 	link := NewLink(s, rate, po, po, col)
 
 	victim := source.NewCBR(s, 0, 500, units.MbitsPerSecond(8), link)
@@ -136,9 +148,9 @@ func TestPushoutProtectsConformantEndToEnd(t *testing.T) {
 
 func TestPushoutValidation(t *testing.T) {
 	for i, f := range []func(){
-		func() { NewPushoutFIFO(0, []units.Bytes{100}) },
-		func() { NewPushoutFIFO(100, nil) },
-		func() { NewPushoutFIFO(100, []units.Bytes{-1}) },
+		func() { buffer.NewPushoutFIFO(0, []units.Bytes{100}) },
+		func() { buffer.NewPushoutFIFO(100, nil) },
+		func() { buffer.NewPushoutFIFO(100, []units.Bytes{-1}) },
 	} {
 		func() {
 			defer func() {
@@ -149,7 +161,7 @@ func TestPushoutValidation(t *testing.T) {
 			f()
 		}()
 	}
-	po := NewPushoutFIFO(100, []units.Bytes{100})
+	po := buffer.NewPushoutFIFO(100, []units.Bytes{100})
 	defer func() {
 		if recover() == nil {
 			t.Error("over-release did not panic")

@@ -4,19 +4,18 @@ import (
 	"fmt"
 
 	"bufqos/internal/buffer"
-	"bufqos/internal/online"
 	"bufqos/internal/sched"
 	"bufqos/internal/units"
 )
 
 // This file builds the combined queue/manager schemes that bring their
 // own admission policy: the paper's protective pushout FIFO and the
-// competitive-analysis policies of internal/online. Each builder
-// returns the same object as both manager and scheduler — preemption
-// removes already-queued packets, which the manager/scheduler split
-// cannot express.
+// class policies of the competitive-analysis literature. Each builder
+// returns the same buffer object as both manager and scheduler —
+// preemption removes already-queued packets, which the
+// manager/scheduler split cannot express.
 
-// buildPushout assembles sched.PushoutFIFO: shares from the paper's
+// buildPushout assembles buffer.PushoutFIFO: shares from the paper's
 // σᵢ + ρᵢB/R thresholds, or a flat fraction of B per flow when the
 // "share" parameter is set.
 func buildPushout(cfg Config, s *Scheme) (buffer.Manager, sched.Scheduler, error) {
@@ -40,12 +39,12 @@ func buildPushout(cfg Config, s *Scheme) (buffer.Manager, sched.Scheduler, error
 			shares[i] = units.Bytes(share * float64(cfg.Buffer))
 		}
 	}
-	po := sched.NewPushoutFIFO(cfg.Buffer, shares)
+	po := buffer.NewPushoutFIFO(cfg.Buffer, shares)
 	return po, po, nil
 }
 
 // onlineClasses resolves the class count and flow→class map of a
-// class-aware online scheme.
+// class-aware scheme.
 func onlineClasses(cfg Config, s *Scheme) (int, []int, error) {
 	if cfg.Buffer <= 0 {
 		return 0, nil, fmt.Errorf("scheme %s: needs a positive buffer, got %v", s.Spec(), cfg.Buffer)
@@ -80,7 +79,7 @@ func buildClassGreedy(cfg Config, s *Scheme) (buffer.Manager, sched.Scheduler, e
 	if err != nil {
 		return nil, nil, err
 	}
-	g := online.NewClassGreedy(cfg.Buffer, classOf, n)
+	g := buffer.NewClassGreedy(cfg.Buffer, classOf, n)
 	return g, g, nil
 }
 
@@ -89,7 +88,7 @@ func buildClassSeg(cfg Config, s *Scheme) (buffer.Manager, sched.Scheduler, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	cs := online.NewClassSeg(cfg.Buffer, classOf, n)
+	cs := buffer.NewClassSeg(cfg.Buffer, classOf, n)
 	return cs, cs, nil
 }
 
@@ -98,7 +97,7 @@ func buildLQF(cfg Config, s *Scheme) (buffer.Manager, sched.Scheduler, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m := online.NewMultiQueue(cfg.Buffer, classOf, n, false)
+	m := buffer.NewMultiQueue(cfg.Buffer, classOf, n, false)
 	return m, m, nil
 }
 
@@ -107,6 +106,6 @@ func buildSemiGreedy(cfg Config, s *Scheme) (buffer.Manager, sched.Scheduler, er
 	if err != nil {
 		return nil, nil, err
 	}
-	m := online.NewMultiQueue(cfg.Buffer, classOf, n, true)
+	m := buffer.NewMultiQueue(cfg.Buffer, classOf, n, true)
 	return m, m, nil
 }

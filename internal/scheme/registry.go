@@ -55,8 +55,9 @@ type schedulerDef struct {
 	build        func(cfg Config, s *Scheme) (sched.Scheduler, error)
 	// combined, when set, builds manager and scheduler together: the
 	// hybrid architecture partitions the buffer per queue, and the
-	// pushout/online policies ARE their own manager (preemption removes
-	// queued packets, which no manager/scheduler split can express).
+	// pushout and class policies of internal/buffer ARE their own
+	// manager (preemption removes queued packets, which no
+	// manager/scheduler split can express).
 	combined func(cfg Config, s *Scheme) (buffer.Manager, sched.Scheduler, error)
 	// allowedManagers restricts which manager names compose with a
 	// combined scheduler (nil = any manager). Combined schedulers that
